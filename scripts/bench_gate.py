@@ -50,17 +50,6 @@ def load_benchmarks(path):
     return best, cores
 
 
-def shard_parties(name):
-    """BM_Sharded*/N -> N (worker threads the bench needs), else None."""
-    if not name.startswith("BM_Sharded"):
-        return None
-    _, _, arg = name.partition("/")
-    try:
-        return int(arg)
-    except ValueError:
-        return None
-
-
 def run_bench(binary, out_path, repetitions):
     cmd = [
         binary,
@@ -135,23 +124,13 @@ def main():
 
     failures = []
     width = max(len(n) for n in sorted(baseline) + sorted(current))
+    # Host context only: absolute times from hosts of different shape
+    # are not comparable beyond the smoke tolerance.
+    print("baseline host cores: %s, this host cores: %s" %
+          (base_cores, cur_cores))
     print("\n%-*s %12s %12s %8s" %
           (width, "benchmark", "baseline", "current", "ratio"))
     for name in sorted(baseline):
-        # Shard-scaling benches only measure parallel speedup when both
-        # the baseline recorder and this host have a core per shard;
-        # on smaller hosts the comparison is core-contention noise, so
-        # skip it (never a failure).
-        parties = shard_parties(name)
-        if parties is not None and any(
-                c is not None and c < parties
-                for c in (base_cores, cur_cores)):
-            print("%-*s %12s %12s %8s  SKIPPED (needs %d cores; "
-                  "baseline %s, host %s)" %
-                  (width, name, fmt(baseline[name]),
-                   fmt(current[name]) if name in current else "-", "-",
-                   parties, base_cores, cur_cores))
-            continue
         if name not in current:
             failures.append("%s: missing from current run" % name)
             print("%-*s %12s %12s %8s" %

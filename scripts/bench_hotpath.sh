@@ -25,9 +25,8 @@ fi
     --benchmark_out_format=json \
     "$@"
 
-# Stamp the host shape into the record: the shard-scaling benches
-# (BM_Sharded*/N) only mean anything when the recording host had >= N
-# cores, and scripts/bench_gate.py skips them otherwise.
+# Stamp the host shape into the record as context for later readers
+# and for scripts/bench_gate.py, which prints it next to its verdict.
 python3 - "$repo_root/BENCH_hotpath.json" <<'EOF'
 import json, os, socket, sys
 path = sys.argv[1]

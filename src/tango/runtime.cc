@@ -1,5 +1,7 @@
 #include "tango/runtime.hh"
 
+#include "tango/sync_queue.hh"
+
 namespace flashsim::tango
 {
 
@@ -23,15 +25,15 @@ BusyAwaiter::await_ready() noexcept
 bool
 SyncPointAwaiter::await_ready() const noexcept
 {
-    if (!env->syncParker)
-        return true;
-    return env->syncInlineOk(env->proc().cursor());
+    return env->syncQueue == nullptr ||
+           env->syncQueue->inlineOk(env->proc().cursor());
 }
 
 void
 SyncPointAwaiter::await_suspend(std::coroutine_handle<> h)
 {
-    env->syncParker(env->proc().cursor(), h);
+    env->syncQueue->park(env->proc().cursor(),
+                         static_cast<NodeId>(env->id()), h);
 }
 
 void
@@ -114,10 +116,11 @@ Env::notifyBlockAcked(Addr)
 
 // Every access to the shared host-side variables (LockVar, BarrierVar)
 // below sits behind a syncPoint(): the decision logic runs inside the
-// machine's canonical sync phase, in (tick, node, sequence) order, so
-// races on the *host* state resolve identically however the run is
-// sharded. The simulated traffic (reads, writes, fetch&ops) is
-// untouched — syncPoint costs zero simulated time.
+// machine's sync phase, in (tick, node, sequence) order, so races on
+// the *host* state resolve by simulated time and node id, never by the
+// order coroutines happen to be resumed within a tick. The simulated
+// traffic (reads, writes, fetch&ops) is untouched — syncPoint costs
+// zero simulated time.
 
 Task
 Env::lockAcquire(LockVar &l)

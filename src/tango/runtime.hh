@@ -26,6 +26,7 @@ namespace flashsim::tango
 {
 
 class Env;
+class SyncQueue;
 
 /** Awaitable for a timed read or write. */
 struct MemAwaiter
@@ -53,11 +54,11 @@ struct BusyAwaiter
 /**
  * Awaitable serializing access to shared *host-side* state (lock/
  * barrier variables). Zero simulated time: it defers the continuation
- * into the machine's canonical per-tick sync phase, where operations
- * run in (tick, node, per-node sequence) order regardless of how the
- * run is sharded across threads — the mechanism that keeps sharded
- * runs bit-identical to the single-threaded path (see sim/shard.hh).
- * When no machine wires the hooks (standalone Env), it is a no-op.
+ * into the machine's per-tick sync phase (tango/sync_queue.hh), where
+ * operations run in (tick, node, per-node sequence) order, so lock
+ * winners and barrier arrival order do not depend on the order the
+ * event queue resumes coroutines within a tick. Without a sync queue
+ * (standalone Env) it is a no-op.
  */
 struct SyncPointAwaiter
 {
@@ -198,12 +199,9 @@ class Env
     std::function<void(NodeId, Addr, std::uint32_t, Tick)> blockSender;
     /** Node-side wiring: issue a fetch&op through this node's MAGIC. */
     std::function<void(Addr, Tick)> fetchOpSender;
-    /** Machine wiring: defer a continuation into the canonical sync
-     *  phase at the given tick. Unwired: syncPoint() is a no-op. */
-    std::function<void(Tick, std::coroutine_handle<>)> syncParker;
-    /** Machine wiring: may a sync point at this tick continue inline
-     *  (already inside the sync phase for that tick)? */
-    std::function<bool(Tick)> syncInlineOk;
+    /** Machine wiring: the sync phase syncPoint() defers into. Null:
+     *  syncPoint() is a no-op. */
+    SyncQueue *syncQueue = nullptr;
     /** Node-side wiring: a fetch&op this node issued completed. */
     void notifyFetchOpDone(Addr addr);
     /** Node-side wiring: a block finished arriving here. */

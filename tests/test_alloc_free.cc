@@ -22,13 +22,33 @@
 namespace
 {
 std::atomic<std::uint64_t> g_allocs{0};
+
+void *
+countedAlloc(std::size_t size)
+{
+    ++g_allocs;
+    return std::malloc(size != 0 ? size : 1);
+}
+
+void *
+countedAlignedAlloc(std::size_t size, std::align_val_t align)
+{
+    ++g_allocs;
+    const std::size_t a = static_cast<std::size_t>(align);
+    // aligned_alloc wants a size that is a multiple of the alignment.
+    return std::aligned_alloc(a, (size + a - 1) / a * a);
+}
 } // namespace
+
+// Every replaceable allocation and deallocation function is replaced,
+// not just plain new/delete: the library calls the nothrow and aligned
+// forms too (std::stable_sort's temporary buffer uses nothrow new), and
+// a form left to the runtime would pair its allocator with our free().
 
 void *
 operator new(std::size_t size)
 {
-    ++g_allocs;
-    if (void *p = std::malloc(size))
+    if (void *p = countedAlloc(size))
         return p;
     throw std::bad_alloc{};
 }
@@ -36,10 +56,47 @@ operator new(std::size_t size)
 void *
 operator new[](std::size_t size)
 {
-    ++g_allocs;
-    if (void *p = std::malloc(size))
+    return ::operator new(size);
+}
+
+void *
+operator new(std::size_t size, const std::nothrow_t &) noexcept
+{
+    return countedAlloc(size);
+}
+
+void *
+operator new[](std::size_t size, const std::nothrow_t &) noexcept
+{
+    return countedAlloc(size);
+}
+
+void *
+operator new(std::size_t size, std::align_val_t align)
+{
+    if (void *p = countedAlignedAlloc(size, align))
         return p;
     throw std::bad_alloc{};
+}
+
+void *
+operator new[](std::size_t size, std::align_val_t align)
+{
+    return ::operator new(size, align);
+}
+
+void *
+operator new(std::size_t size, std::align_val_t align,
+             const std::nothrow_t &) noexcept
+{
+    return countedAlignedAlloc(size, align);
+}
+
+void *
+operator new[](std::size_t size, std::align_val_t align,
+               const std::nothrow_t &) noexcept
+{
+    return countedAlignedAlloc(size, align);
 }
 
 void
@@ -62,6 +119,55 @@ operator delete(void *p, std::size_t) noexcept
 
 void
 operator delete[](void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void *p, const std::nothrow_t &) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete[](void *p, const std::nothrow_t &) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void *p, std::align_val_t) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete[](void *p, std::align_val_t) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void *p, std::size_t, std::align_val_t) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete[](void *p, std::size_t, std::align_val_t) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void *p, std::align_val_t, const std::nothrow_t &) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete[](void *p, std::align_val_t,
+                  const std::nothrow_t &) noexcept
 {
     std::free(p);
 }

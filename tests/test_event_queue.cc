@@ -408,8 +408,8 @@ TEST(EventQueueTimer, ResetClearsTimers)
 }
 
 // ---------------------------------------------------------------------------
-// The O(1) horizon query backing the sharded coordinator's adaptive
-// windows (nextTick() runs once per shard per window edge).
+// The O(1) horizon query behind the machine's run loop (nextTick()
+// runs once per simulated tick to pick the next tick with work).
 
 TEST(EventQueueHorizon, EmptyQueueReportsNever)
 {
@@ -429,8 +429,8 @@ TEST(EventQueueHorizon, TracksEarliestEventAndArmedTimers)
     eq.scheduleAt(EventQueue::kRingSize * 4, [] {});
     EXPECT_EQ(eq.nextTick(), 60u);
     // ...and armed timers bound it like any other event, which is what
-    // lets the window coordinator skip idle stretches without ever
-    // skipping a pending retransmit/retry fire.
+    // lets the run loop jump over idle stretches without ever skipping
+    // a pending retransmit/retry fire.
     eq.armTimer(30, [] {});
     EXPECT_EQ(eq.nextTick(), 30u);
 }
@@ -461,8 +461,8 @@ TEST(EventQueueHorizon, CancelledTimerIsConservativeNeverLate)
     EventQueue::TimerId id = eq.armTimer(50, [&] { ++dead; });
     eq.scheduleAt(200, [&] { ++live; });
     eq.cancelTimer(id);
-    // Lazy cancellation may keep the horizon at the dead fire's tick (a
-    // window edge there just finds a no-op wrapper) — conservative is
+    // Lazy cancellation may keep the horizon at the dead fire's tick (the
+    // run loop there just finds a no-op wrapper) — conservative is
     // fine, but it must never report *past* the real work.
     EXPECT_LE(eq.nextTick(), 200u);
     while (eq.nextTick() != EventQueue::kNever)
